@@ -10,16 +10,25 @@
 //! back as a structured `overloaded` frame carrying queue depth and a
 //! retry-after hint, never a closed socket.
 //!
-//! The connection loop is a single thread interleaving three duties on a
-//! short read-timeout tick:
+//! The connection loop is a single thread that answers each request as
+//! soon as its answer exists:
 //!
-//! 1. flush completed compile responses (completion order, seq-tagged);
-//! 2. honor the drain/goodbye state machine;
-//! 3. poll the socket for the next frame, enforcing the per-frame read
+//! 1. **Cache hits inline.** A request whose artifact is cached is probed,
+//!    encoded and written on the connection thread, never queued for the
+//!    worker pool — so a hit is never shed and may overtake compiles the
+//!    same connection has in flight.
+//! 2. **Misses woken by the reply.** A miss goes to the pool. While the
+//!    session owes a response, no partial frame is buffered and nothing
+//!    waits on the socket, the thread parks on the session's reply
+//!    channel, so a finished compile is written the moment it lands.
+//!    Otherwise it reads the socket, enforcing the per-frame read
 //!    deadline (a half-written header that stalls past
 //!    [`ServerConfig::read_timeout`] is closed with a diagnosis, so a
 //!    slowloris client costs one connection thread for one deadline, not
 //!    a worker).
+//!
+//! Neither wait outlasts [`ServerConfig::tick`]; between waits the loop
+//! honors the drain/goodbye state machine.
 //!
 //! **Graceful drain** ([`NetServer::shutdown`]): stop accepting (late
 //! connections get a goodbye frame, then the listener closes so further
@@ -34,7 +43,7 @@ use crate::proto::{
     self, Frame, FrameKind, FramePoll, FrameReader, ProtoError, WireRequest, WireWarmupRequest,
 };
 use crate::service::{CompileService, StreamSession};
-use crate::types::ServeError;
+use crate::types::{CompileResponse, ServeError};
 use crate::warmup;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -57,9 +66,11 @@ pub struct ServerConfig {
     /// server flushes responses is disconnected instead of wedging the
     /// connection thread.
     pub write_timeout: Duration,
-    /// Poll granularity of the connection loop — the socket read-timeout
-    /// tick. Bounds how stale the drain flag or a completed response can
-    /// get while the connection is idle.
+    /// The longest the connection loop waits in one place: on the socket
+    /// (its read-timeout) or on the reply channel. Responses never wait
+    /// for it. It bounds how stale the drain flag can get, how often the
+    /// per-frame deadline is checked, and how long a request that
+    /// arrives while a compile is awaited sits unread.
     pub tick: Duration,
     /// How this server identifies itself in wire-level stats answers
     /// (the [`BackendStats`][crate::types::BackendStats] envelope). Empty
@@ -357,10 +368,10 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     // Listener drops here: post-drain connects are refused by the OS.
 }
 
-/// One connection's whole life. Returns `Err` only for connection-fatal
-/// protocol violations (already reported to the peer as an error frame
-/// where possible); clean closes — goodbye handshakes, client
-/// disconnects — return `Ok`.
+/// One connection's whole life. Returns `Err` when a protocol violation
+/// or a failed write ends it (already counted, and reported to the peer
+/// where the stream allowed); goodbye handshakes and a peer closing
+/// between frames return `Ok`.
 fn serve_connection(shared: &Shared, stream: &TcpStream) -> Result<(), ProtoError> {
     let io_err = |context: &'static str| {
         move |e: io::Error| ProtoError::Io {
@@ -377,40 +388,31 @@ fn serve_connection(shared: &Shared, stream: &TcpStream) -> Result<(), ProtoErro
         .map_err(io_err("configuring the write timeout"))?;
 
     let mut reader = FrameReader::new(stream);
-    let mut session = shared.service.stream();
-    // The session numbers submissions itself; this maps its sequence
-    // numbers back to the seq the client chose.
-    let mut wire_seq: HashMap<u64, u64> = HashMap::new();
-    let mut served = 0u64;
-    let mut client_done = false;
+    let mut conn = Connection {
+        shared,
+        stream,
+        session: shared.service.stream(),
+        wire_seq: HashMap::new(),
+        served: 0,
+        client_done: false,
+    };
 
     loop {
-        // Duty 1: flush completed responses, completion order, seq-tagged.
-        while let Some((session_seq, outcome)) = session.try_recv() {
-            let seq = wire_seq.remove(&session_seq).unwrap_or(session_seq);
-            let frame = match &outcome {
-                Ok(resp) => Frame::response(seq, resp),
-                Err(e) => Frame::error(Some(seq), e),
-            };
-            if proto::write_frame(&mut &*stream, &frame).is_err() {
-                // The peer stopped reading while we flushed: a disconnect,
-                // not a protocol violation.
-                Metrics::bump(&shared.net.disconnects);
-                return Ok(());
-            }
-            served += 1;
+        // Flush compiled responses that are already waiting.
+        while let Some(tagged) = conn.session.try_recv() {
+            conn.deliver(tagged)?;
         }
 
-        // Duty 2: the drain/goodbye state machine. Either side ending the
+        // The drain/goodbye state machine. Either side ending the
         // conversation still waits for every accepted response first.
         let draining = shared.draining.load(Ordering::SeqCst);
-        if (draining || client_done) && session.pending() == 0 {
+        if (draining || conn.client_done) && conn.session.pending() == 0 {
             let reason = if draining {
                 "server draining: all accepted responses delivered"
             } else {
                 "goodbye acknowledged: session complete"
             };
-            if proto::write_frame(&mut &*stream, &Frame::goodbye(reason, served)).is_ok() {
+            if conn.write(&Frame::goodbye(reason, conn.served)).is_ok() {
                 Metrics::bump(&shared.net.goodbyes);
             } else {
                 Metrics::bump(&shared.net.disconnects);
@@ -418,16 +420,21 @@ fn serve_connection(shared: &Shared, stream: &TcpStream) -> Result<(), ProtoErro
             return Ok(());
         }
 
-        // Duty 3: the socket. One tick's worth of bytes at most.
+        // Owed a response with nothing to read: park on the reply channel,
+        // so a finished compile is written as soon as it lands.
+        if conn.session.pending() > 0
+            && reader.stalled_since().is_none()
+            && socket_idle(stream).map_err(io_err("checking the socket for input"))?
+        {
+            if let Some(tagged) = conn.session.recv_timeout(shared.config.tick) {
+                conn.deliver(tagged)?;
+            }
+            continue;
+        }
+
+        // The socket: one read-timeout tick's worth of bytes at most.
         match reader.poll() {
-            Ok(FramePoll::Frame(frame)) => handle_frame(
-                shared,
-                stream,
-                &mut session,
-                &mut wire_seq,
-                &mut client_done,
-                &frame,
-            )?,
+            Ok(FramePoll::Frame(frame)) => handle_frame(&mut conn, &frame)?,
             Ok(FramePoll::Pending) => {
                 if let Some(since) = reader.stalled_since() {
                     if since.elapsed() >= shared.config.read_timeout {
@@ -443,10 +450,7 @@ fn serve_connection(shared: &Shared, stream: &TcpStream) -> Result<(), ProtoErro
                                 shared.config.read_timeout
                             ),
                         };
-                        let _ = proto::write_frame(
-                            &mut &*stream,
-                            &Frame::error(None, &ServeError::protocol(&e)),
-                        );
+                        let _ = conn.write(&Frame::error(None, &ServeError::protocol(&e)));
                         return Err(e);
                     }
                 }
@@ -466,11 +470,9 @@ fn serve_connection(shared: &Shared, stream: &TcpStream) -> Result<(), ProtoErro
                 // a descriptive error and keep the connection, rather
                 // than dropping a peer whose other frames we understand.
                 Metrics::bump(&shared.net.proto_errors);
-                if proto::write_frame(
-                    &mut &*stream,
-                    &Frame::error(None, &ServeError::protocol(&e)),
-                )
-                .is_err()
+                if conn
+                    .write(&Frame::error(None, &ServeError::protocol(&e)))
+                    .is_err()
                 {
                     Metrics::bump(&shared.net.disconnects);
                     return Ok(());
@@ -482,10 +484,7 @@ fn serve_connection(shared: &Shared, stream: &TcpStream) -> Result<(), ProtoErro
                     // A mid-frame EOF: the peer is gone, nothing to tell.
                     Metrics::bump(&shared.net.disconnects);
                 } else {
-                    let _ = proto::write_frame(
-                        &mut &*stream,
-                        &Frame::error(None, &ServeError::protocol(&e)),
-                    );
+                    let _ = conn.write(&Frame::error(None, &ServeError::protocol(&e)));
                 }
                 return Err(e);
             }
@@ -493,14 +492,66 @@ fn serve_connection(shared: &Shared, stream: &TcpStream) -> Result<(), ProtoErro
     }
 }
 
-fn handle_frame(
-    shared: &Shared,
-    stream: &TcpStream,
-    session: &mut StreamSession<'_>,
-    wire_seq: &mut HashMap<u64, u64>,
-    client_done: &mut bool,
-    frame: &Frame,
-) -> Result<(), ProtoError> {
+/// Whether the socket has nothing for [`FrameReader::poll`] — no bytes,
+/// no EOF, no error — checked without blocking.
+fn socket_idle(stream: &TcpStream) -> io::Result<bool> {
+    stream.set_nonblocking(true)?;
+    let peek = stream.peek(&mut [0u8; 1]);
+    stream.set_nonblocking(false)?;
+    Ok(matches!(peek, Err(e) if e.kind() == io::ErrorKind::WouldBlock))
+}
+
+/// What one connection thread owns besides its frame reader.
+struct Connection<'a> {
+    shared: &'a Shared,
+    stream: &'a TcpStream,
+    session: StreamSession<'a>,
+    /// The session numbers submissions itself; this maps its sequence
+    /// numbers back to the seq the client chose.
+    wire_seq: HashMap<u64, u64>,
+    /// Responses written, compiled and cached alike: the goodbye's count.
+    served: u64,
+    client_done: bool,
+}
+
+impl Connection<'_> {
+    fn write(&self, frame: &Frame) -> Result<(), ProtoError> {
+        proto::write_frame(&mut &*self.stream, frame)
+    }
+
+    /// Writes one answer under the client's `seq` and counts it served.
+    /// A failed write means the peer stopped reading: it is counted as a
+    /// disconnect, not a protocol violation, and the connection should
+    /// end.
+    fn answer(
+        &mut self,
+        seq: u64,
+        outcome: &Result<CompileResponse, ServeError>,
+    ) -> Result<(), ProtoError> {
+        let frame = match outcome {
+            Ok(resp) => Frame::response(seq, resp),
+            Err(e) => Frame::error(Some(seq), e),
+        };
+        if let Err(e) = self.write(&frame) {
+            Metrics::bump(&self.shared.net.disconnects);
+            return Err(e);
+        }
+        self.served += 1;
+        Ok(())
+    }
+
+    /// [`Connection::answer`] for a compiled outcome from the session.
+    fn deliver(
+        &mut self,
+        (session_seq, outcome): (u64, Result<CompileResponse, ServeError>),
+    ) -> Result<(), ProtoError> {
+        let seq = self.wire_seq.remove(&session_seq).unwrap_or(session_seq);
+        self.answer(seq, &outcome)
+    }
+}
+
+fn handle_frame(conn: &mut Connection<'_>, frame: &Frame) -> Result<(), ProtoError> {
+    let shared = conn.shared;
     match frame.kind {
         FrameKind::Request => {
             let wire: WireRequest = match frame.decode() {
@@ -510,11 +561,7 @@ fn handle_frame(
                     // a malformed payload is a request-shaped mistake,
                     // not a connection-fatal one.
                     Metrics::bump(&shared.net.proto_errors);
-                    proto::write_frame(
-                        &mut &*stream,
-                        &Frame::error(None, &ServeError::protocol(&e)),
-                    )?;
-                    return Ok(());
+                    return conn.write(&Frame::error(None, &ServeError::protocol(&e)));
                 }
             };
             // The flag is loaded *here*, at admission time — not at the
@@ -523,26 +570,25 @@ fn handle_frame(
             // request arriving after the listener closed observes the
             // flag (the drain stores it before touching the listener).
             if shared.draining.load(Ordering::SeqCst) {
-                return proto::write_frame(
-                    &mut &*stream,
-                    &Frame::error(Some(wire.seq), &ServeError::draining()),
-                );
+                return conn.write(&Frame::error(Some(wire.seq), &ServeError::draining()));
             }
             // A goodbye is a promise of "no further requests": a request
             // pipelined behind one is refused, not admitted — otherwise
             // a misbehaving client could keep the session (and its
             // connection thread) alive indefinitely after announcing it
-            // was done, because the close in duty 2 waits for pending
+            // was done, because the goodbye close waits for pending
             // responses that admission here would keep replenishing.
-            if *client_done {
-                return proto::write_frame(
-                    &mut &*stream,
-                    &Frame::error(Some(wire.seq), &ServeError::after_goodbye()),
-                );
+            if conn.client_done {
+                return conn.write(&Frame::error(Some(wire.seq), &ServeError::after_goodbye()));
             }
-            match session.submit(wire.request) {
+            // A cached artifact is answered right here: no queue, so
+            // no shed, and no wait behind this session's compiles.
+            if let Some(hit) = shared.service.serve_hit(&wire.request) {
+                return conn.answer(wire.seq, &Ok(hit));
+            }
+            match conn.session.submit(wire.request) {
                 Ok(session_seq) => {
-                    wire_seq.insert(session_seq, wire.seq);
+                    conn.wire_seq.insert(session_seq, wire.seq);
                     Ok(())
                 }
                 Err(e) if e.kind == "overloaded" => {
@@ -550,25 +596,20 @@ fn handle_frame(
                     // with depth and a retry-after hint; the connection
                     // stays open for the retry.
                     let stats = shared.service.stats();
-                    proto::write_frame(&mut &*stream, &Frame::overloaded(wire.seq, &stats, &e))
+                    conn.write(&Frame::overloaded(wire.seq, &stats, &e))
                 }
-                Err(e) => proto::write_frame(&mut &*stream, &Frame::error(Some(wire.seq), &e)),
+                Err(e) => conn.write(&Frame::error(Some(wire.seq), &e)),
             }
         }
-        FrameKind::StatsRequest => proto::write_frame(
-            &mut &*stream,
-            &Frame::stats(&shared.identity, &shared.service.stats()),
-        ),
+        FrameKind::StatsRequest => {
+            conn.write(&Frame::stats(&shared.identity, &shared.service.stats()))
+        }
         FrameKind::WarmupRequest => {
             let wire: WireWarmupRequest = match frame.decode() {
                 Ok(wire) => wire,
                 Err(e) => {
                     Metrics::bump(&shared.net.proto_errors);
-                    proto::write_frame(
-                        &mut &*stream,
-                        &Frame::error(None, &ServeError::protocol(&e)),
-                    )?;
-                    return Ok(());
+                    return conn.write(&Frame::error(None, &ServeError::protocol(&e)));
                 }
             };
             // Served straight from the cache snapshot — the worker pool
@@ -580,17 +621,19 @@ fn handle_frame(
             let chunks = warmup::chunk_entries(entries, warmup::WARMUP_CHUNK_BUDGET);
             let last = chunks.len() - 1;
             for (index, chunk) in chunks.into_iter().enumerate() {
-                proto::write_frame(
-                    &mut &*stream,
-                    &Frame::warmup_batch(wire.seq, index as u64, index == last, chunk),
-                )?;
+                conn.write(&Frame::warmup_batch(
+                    wire.seq,
+                    index as u64,
+                    index == last,
+                    chunk,
+                ))?;
             }
             Ok(())
         }
         FrameKind::Goodbye => {
             // The client is done submitting; pending responses still
             // drain before the server's answering goodbye.
-            *client_done = true;
+            conn.client_done = true;
             Ok(())
         }
         kind => {
@@ -601,10 +644,7 @@ fn handle_frame(
                           goodbye frames"
                     .to_string(),
             };
-            let _ = proto::write_frame(
-                &mut &*stream,
-                &Frame::error(None, &ServeError::protocol(&e)),
-            );
+            let _ = conn.write(&Frame::error(None, &ServeError::protocol(&e)));
             Err(e)
         }
     }

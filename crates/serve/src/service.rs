@@ -11,7 +11,7 @@ use qft_core::Registry;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Default result-cache capacity (entries, summed across shards).
 pub const DEFAULT_CACHE_CAPACITY: usize = 256;
@@ -64,28 +64,38 @@ struct ServiceInner {
 }
 
 impl ServiceInner {
-    /// The full serve path: sharded-cache probe → singleflight join →
-    /// (leader only) validate + compile + publish. Runs on whichever
-    /// thread calls it — a pool worker for queued traffic, the caller
-    /// for [`CompileService::compile`].
+    /// The cache-only path: one shard lock, O(1) recency bump, `Arc`
+    /// clone out. A hit is counted (one request, one hit) and answered;
+    /// a miss counts nothing and returns `None`, never compiling — which
+    /// is what lets a connection thread call it inline.
+    fn serve_hit(&self, req: &CompileRequest) -> Option<CompileResponse> {
+        let t0 = Instant::now();
+        let key_json = req.cache_key();
+        let entry = self.cache.get(cache::key_digest(&key_json), &key_json)?;
+        Metrics::bump(&self.metrics.requests);
+        Metrics::bump(&self.metrics.hits);
+        Some(self.respond(
+            t0,
+            key_json,
+            entry.cold_compile_s,
+            entry.result,
+            true,
+            false,
+        ))
+    }
+
+    /// The full serve path: [`ServiceInner::serve_hit`] → singleflight
+    /// join → (leader only) validate + compile + publish. Runs on
+    /// whichever thread calls it — a pool worker for queued traffic, the
+    /// caller for [`CompileService::compile`].
     fn serve(&self, req: &CompileRequest) -> Result<CompileResponse, ServeError> {
+        if let Some(hit) = self.serve_hit(req) {
+            return Ok(hit);
+        }
         let t0 = Instant::now();
         Metrics::bump(&self.metrics.requests);
         let key_json = req.cache_key();
         let key = cache::key_digest(&key_json);
-
-        // Hot path: one shard lock, O(1) recency bump, Arc clone out.
-        if let Some(entry) = self.cache.get(key, &key_json) {
-            Metrics::bump(&self.metrics.hits);
-            return Ok(self.respond(
-                t0,
-                key_json,
-                entry.cold_compile_s,
-                entry.result,
-                true,
-                false,
-            ));
-        }
 
         match self.flights.join(key) {
             FlightRole::Follower(slot) => {
@@ -387,6 +397,14 @@ impl CompileService {
         self.inner.serve(req)
     }
 
+    /// Answers `req` from the cache alone, on the caller's thread, or
+    /// returns `None` on a miss without compiling or counting anything.
+    /// The network front end calls it before [`StreamSession::submit`],
+    /// so a hit never waits behind the admission queue and is never shed.
+    pub(crate) fn serve_hit(&self, req: &CompileRequest) -> Option<CompileResponse> {
+        self.inner.serve_hit(req)
+    }
+
     /// Opens a streaming session: submit requests as they arrive, receive
     /// responses as they complete (completion order, tagged with the
     /// submission sequence number). Backpressure applies per the
@@ -668,14 +686,29 @@ impl StreamSession<'_> {
     /// The next completed response if one is already waiting
     /// (non-blocking); `None` when nothing has completed yet *or* every
     /// submission has been received — check [`StreamSession::pending`]
-    /// to tell the two apart. This is what lets a network connection
-    /// thread interleave socket reads with response flushing without
-    /// parking on either.
+    /// to tell the two apart.
     pub fn try_recv(&mut self) -> Option<(u64, Result<CompileResponse, ServeError>)> {
         if self.received == self.submitted {
             return None;
         }
         let tagged = self.reply_rx.try_recv().ok()?;
+        self.received += 1;
+        Some(tagged)
+    }
+
+    /// The next completed response, waiting at most `timeout` for one;
+    /// `None` on timeout or once every submission has been received.
+    /// A network connection thread with nothing to read parks here, so
+    /// a finished compile wakes it at once instead of on its next
+    /// socket read-timeout tick.
+    pub fn recv_timeout(
+        &mut self,
+        timeout: Duration,
+    ) -> Option<(u64, Result<CompileResponse, ServeError>)> {
+        if self.received == self.submitted {
+            return None;
+        }
+        let tagged = self.reply_rx.recv_timeout(timeout).ok()?;
         self.received += 1;
         Some(tagged)
     }
@@ -703,6 +736,32 @@ mod tests {
         assert_eq!(stats.cache_entries, 1);
         assert!(stats.p50_ms > 0.0, "latency reservoir saw both requests");
         assert_eq!(stats.hit_rate(), 0.5);
+    }
+
+    #[test]
+    fn serve_hit_answers_hits_and_leaves_misses_uncounted() {
+        let service = CompileService::with_config(4, 1);
+        let req = CompileRequest::new("lnn", "lnn:8");
+        assert!(service.serve_hit(&req).is_none(), "a miss never compiles");
+        assert_eq!(service.stats().requests, 0, "and counts nothing");
+        assert!(!service.is_cached(&req));
+
+        service.compile(&req).unwrap();
+        let hit = service.serve_hit(&req).expect("cached after the compile");
+        assert!(hit.cached && !hit.deduped);
+        let stats = service.stats();
+        assert_eq!((stats.requests, stats.hits, stats.misses), (2, 1, 1));
+    }
+
+    #[test]
+    fn recv_timeout_waits_for_a_reply_and_gives_up_without_one() {
+        let service = CompileService::with_config(4, 1);
+        let mut session = service.stream();
+        assert!(session.recv_timeout(Duration::from_secs(5)).is_none());
+        session.submit(CompileRequest::new("lnn", "lnn:6")).unwrap();
+        let (seq, resp) = session.recv_timeout(Duration::from_secs(30)).unwrap();
+        assert_eq!((seq, resp.unwrap().result.n), (0, 6));
+        assert_eq!(session.pending(), 0);
     }
 
     #[test]

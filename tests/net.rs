@@ -35,6 +35,11 @@
 //! kind byte* (a future protocol revision) is refused per-frame with a
 //! descriptive error naming the byte — the payload is consumed, the
 //! stream stays framed, and the same connection keeps serving.
+//!
+//! And the answer-latency pins: with a 200 ms tick, cached hits and cold
+//! misses are answered without waiting for a read timeout; a hit
+//! pipelined behind an in-flight miss overtakes it; and a hit is answered,
+//! not shed, when the admission queue is full.
 
 mod common;
 
@@ -48,7 +53,7 @@ use qft_kernels::{
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// The request the byte-identity tests hammer: a stochastic search
@@ -258,14 +263,48 @@ fn pipelined_submissions_correlate_by_seq() {
 // Graceful drain: in-flight work finishes, new work is refused, threads join.
 // ---------------------------------------------------------------------------
 
-/// A test-only compiler that parks inside `compile` until its gate opens —
-/// the deterministic way to hold a worker busy. Each test that needs one
-/// gets its own gate statics so parallel test threads never cross-release.
+/// A gate a test holds shut to park a worker inside a compile — the
+/// deterministic way to keep a worker busy. Each test that needs one gets
+/// its own static gate so parallel test threads never cross-release.
+struct Gate {
+    open: Mutex<bool>,
+    cv: Condvar,
+    entered: AtomicUsize,
+}
+
+impl Gate {
+    const fn new() -> Gate {
+        Gate {
+            open: Mutex::new(false),
+            cv: Condvar::new(),
+            entered: AtomicUsize::new(0),
+        }
+    }
+
+    /// Blocks until a compile has parked behind the gate.
+    fn wait_entered(&self) {
+        wait_until("the gated compile to start", || {
+            self.entered.load(Ordering::SeqCst) > 0
+        });
+    }
+
+    fn release(&self) {
+        *self.open.lock().unwrap() = true;
+        self.cv.notify_all();
+    }
+
+    /// A registry with the core compilers plus `name`, a compiler that
+    /// parks at this gate and then compiles like `lnn`.
+    fn registry(&'static self, name: &'static str) -> &'static Registry {
+        let mut r = Registry::with_core();
+        r.register(Box::new(GateCompiler { name, gate: self }));
+        Box::leak(Box::new(r))
+    }
+}
+
 struct GateCompiler {
     name: &'static str,
-    open: &'static Mutex<bool>,
-    cv: &'static Condvar,
-    entered: &'static AtomicUsize,
+    gate: &'static Gate,
 }
 
 impl QftCompiler for GateCompiler {
@@ -280,56 +319,23 @@ impl QftCompiler for GateCompiler {
         target: &Target,
         opts: &CompileOptions,
     ) -> Result<qft_kernels::CompileResult, qft_kernels::CompileError> {
-        self.entered.fetch_add(1, Ordering::SeqCst);
-        let mut open = self.open.lock().expect("gate mutex");
+        self.gate.entered.fetch_add(1, Ordering::SeqCst);
+        let mut open = self.gate.open.lock().expect("gate mutex");
         while !*open {
-            open = self.cv.wait(open).expect("gate condvar");
+            open = self.gate.cv.wait(open).expect("gate condvar");
         }
         drop(open);
         shared_registry().resolve("lnn")?.compile(target, opts)
     }
 }
 
-static DRAIN_OPEN: Mutex<bool> = Mutex::new(false);
-static DRAIN_CV: Condvar = Condvar::new();
-static DRAIN_ENTERED: AtomicUsize = AtomicUsize::new(0);
-
-fn drain_registry() -> &'static Registry {
-    static GATED: OnceLock<&'static Registry> = OnceLock::new();
-    GATED.get_or_init(|| {
-        let mut r = Registry::with_core();
-        r.register(Box::new(GateCompiler {
-            name: "gate-drain",
-            open: &DRAIN_OPEN,
-            cv: &DRAIN_CV,
-            entered: &DRAIN_ENTERED,
-        }));
-        Box::leak(Box::new(r))
-    })
-}
-
-static SHED_OPEN: Mutex<bool> = Mutex::new(false);
-static SHED_CV: Condvar = Condvar::new();
-static SHED_ENTERED: AtomicUsize = AtomicUsize::new(0);
-
-fn shed_registry() -> &'static Registry {
-    static GATED: OnceLock<&'static Registry> = OnceLock::new();
-    GATED.get_or_init(|| {
-        let mut r = Registry::with_core();
-        r.register(Box::new(GateCompiler {
-            name: "gate-shed",
-            open: &SHED_OPEN,
-            cv: &SHED_CV,
-            entered: &SHED_ENTERED,
-        }));
-        Box::leak(Box::new(r))
-    })
-}
+static DRAIN: Gate = Gate::new();
+static SHED: Gate = Gate::new();
 
 #[test]
 fn graceful_drain_finishes_in_flight_and_refuses_new_work() {
     let service = CompileService::builder()
-        .registry(drain_registry())
+        .registry(DRAIN.registry("gate-drain"))
         .workers(1)
         .build();
     let server = NetServer::bind("127.0.0.1:0", Arc::new(service)).unwrap();
@@ -341,9 +347,7 @@ fn graceful_drain_finishes_in_flight_and_refuses_new_work() {
     let gated_seq = client
         .submit(&CompileRequest::new("gate-drain", "lnn:4"))
         .unwrap();
-    wait_until("the gated compile to start", || {
-        DRAIN_ENTERED.load(Ordering::SeqCst) > 0
-    });
+    DRAIN.wait_entered();
 
     // Begin the drain on its own thread (shutdown blocks until complete:
     // it cannot finish while the gate holds the compile in flight).
@@ -376,8 +380,7 @@ fn graceful_drain_finishes_in_flight_and_refuses_new_work() {
 
     // Release the gate: the in-flight compile must now complete and be
     // delivered, then the server says goodbye.
-    *DRAIN_OPEN.lock().unwrap() = true;
-    DRAIN_CV.notify_all();
+    DRAIN.release();
 
     let mut delivered = Vec::new();
     let goodbye = loop {
@@ -596,23 +599,7 @@ fn clean_shutdown_counts_zero_denied_connections() {
     assert_eq!((summary.net.accepted, summary.net.goodbyes), (1, 1));
 }
 
-static BYE_OPEN: Mutex<bool> = Mutex::new(false);
-static BYE_CV: Condvar = Condvar::new();
-static BYE_ENTERED: AtomicUsize = AtomicUsize::new(0);
-
-fn bye_registry() -> &'static Registry {
-    static GATED: OnceLock<&'static Registry> = OnceLock::new();
-    GATED.get_or_init(|| {
-        let mut r = Registry::with_core();
-        r.register(Box::new(GateCompiler {
-            name: "gate-bye",
-            open: &BYE_OPEN,
-            cv: &BYE_CV,
-            entered: &BYE_ENTERED,
-        }));
-        Box::leak(Box::new(r))
-    })
-}
+static BYE: Gate = Gate::new();
 
 #[test]
 fn requests_pipelined_behind_a_goodbye_are_refused() {
@@ -622,7 +609,7 @@ fn requests_pipelined_behind_a_goodbye_are_refused() {
     // parks the first request in flight so the session provably stays
     // open (pending > 0) while the post-goodbye request arrives.
     let service = CompileService::builder()
-        .registry(bye_registry())
+        .registry(BYE.registry("gate-bye"))
         .workers(1)
         .build();
     let server = NetServer::bind("127.0.0.1:0", Arc::new(service)).unwrap();
@@ -633,9 +620,7 @@ fn requests_pipelined_behind_a_goodbye_are_refused() {
 
     let gated = CompileRequest::new("gate-bye", "lnn:4");
     proto::write_frame(&mut &stream, &Frame::request(0, &gated)).unwrap();
-    wait_until("the gated compile to start", || {
-        BYE_ENTERED.load(Ordering::SeqCst) > 0
-    });
+    BYE.wait_entered();
     proto::write_frame(&mut &stream, &Frame::goodbye("client done", 0)).unwrap();
     proto::write_frame(&mut &stream, &Frame::request(1, &gated)).unwrap();
 
@@ -654,8 +639,7 @@ fn requests_pipelined_behind_a_goodbye_are_refused() {
     // The accepted (pre-goodbye) response still drains, then the server
     // answers the goodbye with served == 1: the refused request was
     // never admitted.
-    *BYE_OPEN.lock().unwrap() = true;
-    BYE_CV.notify_all();
+    BYE.release();
     let frame = proto::read_frame(&mut &stream).expect("the gated response");
     assert_eq!(frame.kind, proto::FrameKind::Response);
     let frame = proto::read_frame(&mut &stream).expect("the server goodbye");
@@ -718,23 +702,7 @@ fn stats_round_trips_correlate_after_a_bare_submit_stats() {
     server.shutdown();
 }
 
-static RETRY_OPEN: Mutex<bool> = Mutex::new(false);
-static RETRY_CV: Condvar = Condvar::new();
-static RETRY_ENTERED: AtomicUsize = AtomicUsize::new(0);
-
-fn retry_registry() -> &'static Registry {
-    static GATED: OnceLock<&'static Registry> = OnceLock::new();
-    GATED.get_or_init(|| {
-        let mut r = Registry::with_core();
-        r.register(Box::new(GateCompiler {
-            name: "gate-retry",
-            open: &RETRY_OPEN,
-            cv: &RETRY_CV,
-            entered: &RETRY_ENTERED,
-        }));
-        Box::leak(Box::new(r))
-    })
-}
+static RETRY: Gate = Gate::new();
 
 #[test]
 fn retry_policy_attempt_boundaries_hold_against_a_shedding_server() {
@@ -744,7 +712,7 @@ fn retry_policy_attempt_boundaries_hold_against_a_shedding_server() {
     // policy's max_attempts" was a lie at the boundary. Normalization
     // now happens once, at construction, where it is observable.
     let service = CompileService::builder()
-        .registry(retry_registry())
+        .registry(RETRY.registry("gate-retry"))
         .workers(1)
         .queue_capacity(1)
         .backpressure(Backpressure::Shed)
@@ -758,9 +726,7 @@ fn retry_policy_attempt_boundaries_hold_against_a_shedding_server() {
     filler
         .submit(&CompileRequest::new("gate-retry", "lnn:4"))
         .unwrap();
-    wait_until("the gated compile to start", || {
-        RETRY_ENTERED.load(Ordering::SeqCst) > 0
-    });
+    RETRY.wait_entered();
     filler
         .submit(&CompileRequest::new("gate-retry", "lnn:5"))
         .unwrap();
@@ -798,8 +764,7 @@ fn retry_policy_attempt_boundaries_hold_against_a_shedding_server() {
     }
 
     // Release the gate and drain the filler's two parked compiles.
-    *RETRY_OPEN.lock().unwrap() = true;
-    RETRY_CV.notify_all();
+    RETRY.release();
     for _ in 0..2 {
         match filler.next_event().unwrap() {
             NetEvent::Response { .. } => {}
@@ -817,7 +782,7 @@ fn retry_policy_attempt_boundaries_hold_against_a_shedding_server() {
 #[test]
 fn shed_surfaces_as_a_structured_overloaded_frame_with_retry_hint() {
     let service = CompileService::builder()
-        .registry(shed_registry())
+        .registry(SHED.registry("gate-shed"))
         .workers(1)
         .queue_capacity(1)
         .backpressure(Backpressure::Shed)
@@ -830,9 +795,7 @@ fn shed_surfaces_as_a_structured_overloaded_frame_with_retry_hint() {
     filler
         .submit(&CompileRequest::new("gate-shed", "lnn:4"))
         .unwrap();
-    wait_until("the gated compile to start", || {
-        SHED_ENTERED.load(Ordering::SeqCst) > 0
-    });
+    SHED.wait_entered();
     filler
         .submit(&CompileRequest::new("gate-shed", "lnn:5"))
         .unwrap();
@@ -887,8 +850,7 @@ fn shed_surfaces_as_a_structured_overloaded_frame_with_retry_hint() {
 
     // Release the gate: the admitted jobs drain, the shed clients retry
     // successfully, and the server closes clean.
-    *SHED_OPEN.lock().unwrap() = true;
-    SHED_CV.notify_all();
+    SHED.release();
     let resp = retrier
         .request(&CompileRequest::new("gate-shed", "lnn:7"))
         .expect("a retry after the gate opens must succeed");
@@ -911,4 +873,162 @@ fn shed_surfaces_as_a_structured_overloaded_frame_with_retry_hint() {
     drop(shed_client);
     let summary = server.shutdown();
     assert!(summary.net.accepted >= 3);
+}
+
+// ---------------------------------------------------------------------------
+// Answer latency: responses go out when ready, not on the read-timeout tick.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn answers_do_not_wait_for_the_read_timeout_tick() {
+    // A 200 ms tick: any answer that waited for a socket read timeout
+    // would cost at least that much.
+    let config = ServerConfig {
+        tick: Duration::from_millis(200),
+        ..ServerConfig::default()
+    };
+    let server =
+        NetServer::bind_with("127.0.0.1:0", Arc::new(CompileService::new()), config).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let req = serve_request("lnn", "lnn:8", CompileOptions::default());
+
+    // A cold miss is written as soon as its compile finishes.
+    let t = Instant::now();
+    let cold = client.request(&req).unwrap();
+    let cold_s = t.elapsed().as_secs_f64();
+    assert!(!cold.cached);
+    assert!(
+        cold_s < cold.compile_s + 0.1,
+        "cold round trip {cold_s:.3} s for a {:.3} s compile",
+        cold.compile_s
+    );
+
+    // Cached hits are answered inline: twenty back to back fit in one tick.
+    let t = Instant::now();
+    for _ in 0..20 {
+        assert!(client.request(&req).unwrap().cached);
+    }
+    let hot = t.elapsed();
+    assert!(
+        hot < Duration::from_millis(200),
+        "20 cached round trips took {hot:?}"
+    );
+
+    assert_eq!(client.goodbye().unwrap().served, 21);
+    server.shutdown();
+}
+
+static OVERTAKE: Gate = Gate::new();
+
+#[test]
+fn a_cached_hit_overtakes_an_in_flight_miss_on_one_connection() {
+    let service = CompileService::builder()
+        .registry(OVERTAKE.registry("gate-overtake"))
+        .workers(1)
+        .build();
+    let server = NetServer::bind("127.0.0.1:0", Arc::new(service)).unwrap();
+    let mut client = NetClient::connect_with(
+        server.local_addr(),
+        ClientConfig {
+            read_timeout: Duration::from_secs(5),
+            ..ClientConfig::default()
+        },
+    )
+    .unwrap();
+    let hot = serve_request("lnn", "lnn:6", CompileOptions::default());
+    client.request(&hot).unwrap();
+
+    // Park the only worker on a miss, then pipeline a hit behind it on the
+    // same connection: the hit is answered while the miss is still held.
+    // (The gate opens before any assertion, so a failure cannot leave the
+    // server's drain waiting on it.)
+    let miss_seq = client
+        .submit(&CompileRequest::new("gate-overtake", "lnn:5"))
+        .unwrap();
+    OVERTAKE.wait_entered();
+    let hit_seq = client.submit(&hot).unwrap();
+    let first = client.next_event();
+    OVERTAKE.release();
+    match first.expect("the hit must be answered while the miss is held") {
+        NetEvent::Response { seq, response } => {
+            assert_eq!(seq, hit_seq, "the hit must be answered first");
+            assert!(response.cached);
+        }
+        other => panic!("expected the cached response, got {other:?}"),
+    }
+
+    match client.next_event().unwrap() {
+        NetEvent::Response { seq, response } => {
+            assert_eq!(seq, miss_seq);
+            assert!(!response.cached);
+            assert_eq!(response.result.n, 5);
+        }
+        other => panic!("expected the compiled response, got {other:?}"),
+    }
+
+    // Each request counts once: the warm-up miss, the gated miss, the hit.
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        (stats.requests, stats.hits, stats.misses, stats.dedup_joins),
+        (3, 1, 2, 0)
+    );
+    assert_eq!(
+        client.goodbye().unwrap().served,
+        3,
+        "the goodbye counts answers sent inline"
+    );
+    server.shutdown();
+}
+
+static HOT_SHED: Gate = Gate::new();
+
+#[test]
+fn a_cached_hit_is_answered_when_the_queue_sheds() {
+    let service = CompileService::builder()
+        .registry(HOT_SHED.registry("gate-hot-shed"))
+        .workers(1)
+        .queue_capacity(1)
+        .backpressure(Backpressure::Shed)
+        .build();
+    let server = NetServer::bind("127.0.0.1:0", Arc::new(service)).unwrap();
+    let addr = server.local_addr();
+    let hot = serve_request("lnn", "lnn:6", CompileOptions::default());
+    let mut client = NetClient::connect(addr).unwrap();
+    client.request(&hot).unwrap();
+
+    // Park the worker and fill the one-slot queue.
+    let mut filler = NetClient::connect(addr).unwrap();
+    for n in [4, 5] {
+        filler
+            .submit(&CompileRequest::new("gate-hot-shed", format!("lnn:{n}")))
+            .unwrap();
+        HOT_SHED.wait_entered();
+    }
+    wait_until("the queue to fill", || {
+        server.service().stats().queue_depth >= 1
+    });
+
+    // A miss is shed; a hit on the same connection is still answered.
+    client
+        .submit(&serve_request("lnn", "lnn:7", CompileOptions::default()))
+        .unwrap();
+    match client.next_event().unwrap() {
+        NetEvent::Overloaded(o) => assert_eq!(o.error.kind, "overloaded"),
+        other => panic!("expected the miss to be shed, got {other:?}"),
+    }
+    let hit = client.request(&hot);
+    let stats = client.stats().unwrap();
+    HOT_SHED.release();
+    assert!(hit.expect("a hit must not be shed").cached);
+    assert_eq!((stats.shed, stats.hits), (1, 1));
+
+    for _ in 0..2 {
+        match filler.next_event().unwrap() {
+            NetEvent::Response { .. } => {}
+            other => panic!("expected a response, got {other:?}"),
+        }
+    }
+    drop(filler);
+    drop(client);
+    server.shutdown();
 }
