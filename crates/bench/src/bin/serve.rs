@@ -18,18 +18,10 @@
 //!
 //! `--fast` shrinks the target sizes (used by CI).
 
+use qft_bench::{percentile, phase_stats, serve_all, PhaseStats};
 use qft_serve::{CompileService, ServeStats};
 use serde::Serialize;
 use std::time::Instant;
-
-/// Latency distribution of one pass over the workload.
-#[derive(Debug, Serialize)]
-struct PhaseStats {
-    p50_ms: f64,
-    p95_ms: f64,
-    total_s: f64,
-    throughput_rps: f64,
-}
 
 /// One workload request's cold-vs-cached comparison.
 #[derive(Debug, Serialize)]
@@ -55,27 +47,6 @@ struct ServeBench {
     rows: Vec<RequestRow>,
 }
 
-/// Percentile (0..=100) of an unsorted latency sample, in the sample unit.
-/// An empty sample (every request failed) reports 0 — the per-request
-/// failures have already been counted as violations by then.
-fn percentile(samples: &[f64], p: f64) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    match sorted.len() {
-        0 => 0.0,
-        len => sorted[((p / 100.0) * (len - 1) as f64).round() as usize],
-    }
-}
-
-fn phase_stats(walls_s: &[f64], total_s: f64) -> PhaseStats {
-    PhaseStats {
-        p50_ms: percentile(walls_s, 50.0) * 1e3,
-        p95_ms: percentile(walls_s, 95.0) * 1e3,
-        total_s,
-        throughput_rps: walls_s.len() as f64 / total_s,
-    }
-}
-
 fn main() {
     let fast = qft_bench::has_flag("--fast");
     let reqs = qft_bench::serve_workload(fast);
@@ -83,10 +54,10 @@ fn main() {
     let mut violations = 0usize;
 
     let t0 = Instant::now();
-    let cold = service.compile_batch(&reqs);
+    let cold = serve_all(&service, &reqs);
     let cold_total_s = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    let cached = service.compile_batch(&reqs);
+    let cached = serve_all(&service, &reqs);
     let cached_total_s = t0.elapsed().as_secs_f64();
 
     let mut rows = Vec::new();

@@ -173,7 +173,7 @@ fn main() {
         .cache_capacity(reqs.len() * 2)
         .workers(4)
         .build();
-    let warm = service.compile_batch(&reqs);
+    let warm = qft_bench::serve_all(&service, &reqs);
     let mut reference: Vec<String> = Vec::with_capacity(reqs.len());
     for (req, resp) in reqs.iter().zip(&warm) {
         match resp {

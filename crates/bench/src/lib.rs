@@ -136,6 +136,68 @@ pub fn has_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
+/// Latency distribution of one pass over a serving workload (the `cold`
+/// / `cached` / `warm` records of `BENCH_serve.json` and
+/// `BENCH_net.json`).
+#[derive(Debug, Serialize)]
+pub struct PhaseStats {
+    /// Median request wall time, ms.
+    pub p50_ms: f64,
+    /// 95th-percentile request wall time, ms.
+    pub p95_ms: f64,
+    /// Wall time of the whole pass, s.
+    pub total_s: f64,
+    /// Requests per second over the whole pass.
+    pub throughput_rps: f64,
+}
+
+/// Percentile (0..=100) of an unsorted latency sample, in the sample unit.
+/// An empty sample (every request failed) reports 0 — the per-request
+/// failures have already been counted as violations by then.
+pub fn percentile(samples: &[f64], p: f64) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    match sorted.len() {
+        0 => 0.0,
+        len => sorted[((p / 100.0) * (len - 1) as f64).round() as usize],
+    }
+}
+
+/// The [`PhaseStats`] of a pass: per-request walls in seconds, and the
+/// pass's total wall time.
+pub fn phase_stats(walls_s: &[f64], total_s: f64) -> PhaseStats {
+    PhaseStats {
+        p50_ms: percentile(walls_s, 50.0) * 1e3,
+        p95_ms: percentile(walls_s, 95.0) * 1e3,
+        total_s,
+        throughput_rps: walls_s.len() as f64 / total_s,
+    }
+}
+
+/// Runs every request through a [`Backpressure::Block`] service's worker
+/// pool on one [`qft_serve::StreamSession`]: submit all, then place each
+/// reply at its request's index. Per-request errors stay per-request.
+///
+/// [`Backpressure::Block`]: qft_serve::Backpressure::Block
+pub fn serve_all(
+    service: &qft_serve::CompileService,
+    reqs: &[qft_serve::CompileRequest],
+) -> Vec<Result<qft_serve::CompileResponse, qft_serve::ServeError>> {
+    let mut session = service.stream();
+    for req in reqs {
+        session
+            .submit(req.clone())
+            .expect("a live Block-policy service admits every submission");
+    }
+    let mut out: Vec<Option<_>> = (0..reqs.len()).map(|_| None).collect();
+    while let Some((seq, response)) = session.recv() {
+        out[seq as usize] = Some(response);
+    }
+    out.into_iter()
+        .map(|slot| slot.expect("every submitted request is answered"))
+        .collect()
+}
+
 /// The serving benches' mixed workload, shared by the `serve` (cold vs
 /// cached latency) and `serve_scale` (multi-producer scaling) legs:
 /// every compiler on its representative targets, crossed with
@@ -198,6 +260,19 @@ mod tests {
         let (v, s) = timed(|| 41 + 1);
         assert_eq!(v, 42);
         assert!(s >= 0.0);
+    }
+
+    #[test]
+    fn serve_all_answers_in_request_order() {
+        let service = qft_serve::CompileService::with_config(16, 2);
+        let reqs: Vec<_> = [("lnn", "lnn:7"), ("nope", "lnn:5"), ("lnn", "lnn:4")]
+            .into_iter()
+            .map(|(compiler, target)| qft_serve::CompileRequest::new(compiler, target))
+            .collect();
+        let out = serve_all(&service, &reqs);
+        assert_eq!(out[0].as_ref().unwrap().result.n, 7);
+        assert_eq!(out[1].as_ref().unwrap_err().kind, "unknown-compiler");
+        assert_eq!(out[2].as_ref().unwrap().result.n, 4);
     }
 
     #[test]

@@ -30,8 +30,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum LatencyModel {
     /// Use the target's per-link latency classes (heterogeneous on the FT
-    /// lattice; equal to uniform on NISQ backends). The default — matches
-    /// the old `Backend::compile_qft_with_metrics`.
+    /// lattice; equal to uniform on NISQ backends). The default.
     #[default]
     TargetDefault,
     /// Charge every gate one cycle regardless of link class — the paper's

@@ -5,11 +5,11 @@
 //! request/response types so the whole surface speaks JSON, and built to
 //! stay fast when many threads pile on at once:
 //!
-//! * **Sharded result cache** ([`crate::cache`]) — N independently-locked
-//!   LRU shards with O(1) recency, keyed by a 128-bit digest of the
+//! * **Sharded result cache** (the `cache` module) — N
+//!   independently-locked LRU shards with O(1) recency, keyed by a 128-bit digest of the
 //!   canonical request JSON ([`crate::digest`]), so cached hits scale
 //!   with threads instead of convoying on one global mutex;
-//! * **Singleflight miss dedup** ([`crate::flight`]) — a duplicate storm
+//! * **Singleflight miss dedup** (the `flight` module) — a duplicate storm
 //!   of N identical concurrent requests performs exactly **one** compile;
 //!   the other N−1 block on the in-flight entry and share the same
 //!   `Arc<CompileResult>`;
@@ -17,10 +17,10 @@
 //!   service construction drain a bounded admission queue; a full queue
 //!   blocks the submitter or sheds with a descriptive `overloaded`
 //!   error per the [`Backpressure`] policy;
-//! * **Streaming + batch traffic** — [`CompileService::compile`] for
-//!   synchronous single requests, [`CompileService::submit`] /
-//!   [`CompileService::stream`] for pipelined submit/recv streams, and
-//!   [`CompileService::compile_batch`] for order-preserving batches;
+//! * **Two request paths** — [`CompileService::compile`] serves one
+//!   request on the caller's thread; [`CompileService::stream`] opens a
+//!   pipelined submit/recv session on the worker pool (the path every
+//!   network connection takes);
 //! * [`ServeStats`] — lock-free admission metrics: hits, misses,
 //!   dedup joins, evictions, sheds, queue depth, in-flight compiles, and
 //!   a p50/p99 latency window, serde-able for dashboards, plus a
@@ -95,7 +95,7 @@ pub use pool::PoolClient;
 pub use router::{BackendState, Routed, Router, RouterConfig};
 pub use server::{DrainSummary, NetServer, NetStats, ServerConfig};
 pub use service::{
-    Backpressure, CompileService, ServiceBuilder, StreamSession, Ticket, DEFAULT_CACHE_CAPACITY,
+    Backpressure, CompileService, ServiceBuilder, StreamSession, DEFAULT_CACHE_CAPACITY,
     DEFAULT_QUEUE_CAPACITY,
 };
 pub use types::{BackendStats, CompileRequest, CompileResponse, ServeError, ServeStats};

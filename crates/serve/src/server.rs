@@ -2,7 +2,7 @@
 //! shared [`CompileService`].
 //!
 //! Each accepted connection gets its own thread and its own
-//! [`StreamSession`][crate::StreamSession] on the service, so the wire
+//! [`StreamSession`] on the service, so the wire
 //! surface inherits the in-process contracts verbatim: byte-deterministic
 //! cached artifacts, singleflight dedup across connections (two sockets
 //! asking for the same key still perform one compile), and the
@@ -520,6 +520,8 @@ impl Connection<'_> {
     }
 
     /// Writes one answer under the client's `seq` and counts it served.
+    /// An answer over the frame cap is replaced by a `response-too-large`
+    /// error frame: nothing was written, so the connection stays usable.
     /// A failed write means the peer stopped reading: it is counted as a
     /// disconnect, not a protocol violation, and the connection should
     /// end.
@@ -528,11 +530,17 @@ impl Connection<'_> {
         seq: u64,
         outcome: &Result<CompileResponse, ServeError>,
     ) -> Result<(), ProtoError> {
-        let frame = match outcome {
-            Ok(resp) => Frame::response(seq, resp),
-            Err(e) => Frame::error(Some(seq), e),
+        let written = match outcome {
+            Ok(resp) => match self.write(&Frame::response(seq, resp)) {
+                Err(ProtoError::Oversize { len, max }) => self.write(&Frame::error(
+                    Some(seq),
+                    &ServeError::response_too_large(len, max),
+                )),
+                written => written,
+            },
+            Err(e) => self.write(&Frame::error(Some(seq), e)),
         };
-        if let Err(e) = self.write(&frame) {
+        if let Err(e) = written {
             Metrics::bump(&self.shared.net.disconnects);
             return Err(e);
         }

@@ -33,9 +33,7 @@ fn default_workers() -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backpressure {
     /// The submitter's thread blocks until a worker frees queue space —
-    /// backpressure propagates upstream. The default, and always the
-    /// policy for [`CompileService::compile_batch`] (a batch is one
-    /// explicit unit of work; shedding half of it helps nobody).
+    /// backpressure propagates upstream. The default.
     #[default]
     Block,
     /// The submission is rejected immediately with a descriptive
@@ -208,9 +206,8 @@ impl ServiceInner {
 ///    exactly one compile: the first thread leads, duplicates block on
 ///    the in-flight slot and receive the same `Arc<CompileResult>`.
 /// 3. **Persistent worker pool** — `workers` threads spawned once at
-///    construction (not per batch) drain a bounded admission queue fed
-///    by [`CompileService::submit`]/[`CompileService::stream`] and
-///    [`CompileService::compile_batch`]; a full queue either blocks the
+///    construction drain a bounded admission queue fed by
+///    [`CompileService::stream`] sessions; a full queue either blocks the
 ///    submitter or sheds with `kind = "overloaded"` per the service's
 ///    [`Backpressure`] policy.
 ///
@@ -246,7 +243,6 @@ pub struct CompileService {
 pub struct ServiceBuilder {
     registry: &'static Registry,
     cache_capacity: usize,
-    cache_shards: usize,
     workers: usize,
     queue_capacity: usize,
     backpressure: Backpressure,
@@ -262,16 +258,11 @@ impl ServiceBuilder {
     }
 
     /// Total result-cache entries across all shards (clamped to ≥ 1).
+    /// The shard count follows from it: one shard per 4 entries, rounded
+    /// down to a power of two ≤ 16, so small caches keep one shard and
+    /// exact global LRU order.
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Upper bound on cache shards (clamped to a power of two ≤ 16 and
-    /// to one shard per 4 entries of capacity, so small caches keep one
-    /// shard and exact global LRU order).
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards.max(1);
         self
     }
 
@@ -297,7 +288,7 @@ impl ServiceBuilder {
     pub fn build(self) -> CompileService {
         let inner = Arc::new(ServiceInner {
             registry: self.registry,
-            cache: ShardedCache::new(self.cache_capacity, self.cache_shards),
+            cache: ShardedCache::new(self.cache_capacity),
             flights: Singleflight::new(),
             metrics: Metrics::new(),
         });
@@ -337,7 +328,6 @@ impl CompileService {
         ServiceBuilder {
             registry: crate::shared_registry(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            cache_shards: ShardedCache::DEFAULT_SHARDS,
             workers: default_workers(),
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             backpressure: Backpressure::Block,
@@ -354,20 +344,6 @@ impl CompileService {
     /// capacity (clamped to ≥ 1) and worker count (clamped to ≥ 1).
     pub fn with_config(cache_capacity: usize, workers: usize) -> Self {
         Self::builder()
-            .cache_capacity(cache_capacity)
-            .workers(workers)
-            .build()
-    }
-
-    /// A service over a caller-supplied registry (e.g. one extended with
-    /// custom compilers).
-    pub fn with_registry(
-        registry: &'static Registry,
-        cache_capacity: usize,
-        workers: usize,
-    ) -> Self {
-        Self::builder()
-            .registry(registry)
             .cache_capacity(cache_capacity)
             .workers(workers)
             .build()
@@ -420,19 +396,6 @@ impl CompileService {
         }
     }
 
-    /// One-shot streaming submission: enqueues the request and returns a
-    /// [`Ticket`] to claim the response later. Equivalent to a
-    /// single-request [`CompileService::stream`] session.
-    pub fn submit(&self, req: CompileRequest) -> Result<Ticket, ServeError> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.enqueue(Job {
-            req,
-            seq: 0,
-            reply: reply_tx,
-        })?;
-        Ok(Ticket { reply_rx })
-    }
-
     /// Applies the backpressure policy to one enqueue.
     fn enqueue(&self, job: Job) -> Result<(), ServeError> {
         match self.backpressure {
@@ -454,43 +417,6 @@ impl CompileService {
                 }
             },
         }
-    }
-
-    /// Serves a batch through the persistent pool: every request is
-    /// enqueued (blocking for space regardless of the shed policy — a
-    /// batch is one explicit unit of work) and the responses come back
-    /// in request order; per-request errors stay per-request.
-    pub fn compile_batch(
-        &self,
-        reqs: &[CompileRequest],
-    ) -> Vec<Result<CompileResponse, ServeError>> {
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        let (reply_tx, reply_rx) = mpsc::channel();
-        for (seq, req) in reqs.iter().enumerate() {
-            let job = Job {
-                req: req.clone(),
-                seq: seq as u64,
-                reply: reply_tx.clone(),
-            };
-            if let Err(job) = self.queue.push(job) {
-                // Shutdown mid-batch: answer what we must, not panic.
-                let _ = job.reply.send((
-                    job.seq,
-                    Err(ServeError::bad_request("service is shutting down")),
-                ));
-            }
-        }
-        drop(reply_tx);
-        let mut out: Vec<Option<Result<CompileResponse, ServeError>>> =
-            (0..reqs.len()).map(|_| None).collect();
-        for (seq, response) in reply_rx.iter().take(reqs.len()) {
-            out[seq as usize] = Some(response);
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every batch job is answered exactly once"))
-            .collect()
     }
 
     /// Exports every cache entry whose key digest the predicate claims,
@@ -598,22 +524,6 @@ impl Drop for CompileService {
         self.queue.close();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
-        }
-    }
-}
-
-/// A claim on one [`CompileService::submit`] response.
-#[derive(Debug)]
-pub struct Ticket {
-    reply_rx: mpsc::Receiver<(u64, Result<CompileResponse, ServeError>)>,
-}
-
-impl Ticket {
-    /// Blocks until the response is ready.
-    pub fn recv(self) -> Result<CompileResponse, ServeError> {
-        match self.reply_rx.recv() {
-            Ok((_, response)) => response,
-            Err(_) => Err(ServeError::bad_request("service is shutting down")),
         }
     }
 }
@@ -765,22 +675,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_preserves_request_order() {
-        let service = CompileService::with_config(16, 4);
-        let reqs: Vec<CompileRequest> = (4..12)
-            .map(|n| CompileRequest::new("lnn", format!("lnn:{n}")))
-            .collect();
-        let responses = service.compile_batch(&reqs);
-        assert_eq!(responses.len(), reqs.len());
-        for (n, resp) in (4..12).zip(&responses) {
-            assert_eq!(resp.as_ref().unwrap().result.n, n);
-        }
-    }
-
-    #[test]
-    fn one_bad_request_never_poisons_a_batch() {
+    fn one_bad_request_never_poisons_a_session() {
         let service = CompileService::new();
-        let reqs = vec![
+        let reqs = [
             CompileRequest::new("lnn", "lnn:6"),
             CompileRequest::new("nope", "lnn:6"),
             CompileRequest::new("sycamore", "sycamore:3"),
@@ -788,14 +685,17 @@ mod tests {
                 .with_options(CompileOptions::default().with_approximation(0)),
             CompileRequest::new("lnn", "lnn:8"),
         ];
-        let responses = service.compile_batch(&reqs);
-        assert!(responses[0].is_ok() && responses[4].is_ok());
-        assert_eq!(responses[1].as_ref().unwrap_err().kind, "unknown-compiler");
-        assert_eq!(responses[2].as_ref().unwrap_err().kind, "invalid-target");
-        assert_eq!(
-            responses[3].as_ref().unwrap_err().kind,
-            "unsupported-option"
-        );
+        let mut session = service.stream();
+        for req in reqs {
+            session.submit(req).unwrap();
+        }
+        let mut outcomes: Vec<_> = std::iter::from_fn(|| session.recv()).collect();
+        outcomes.sort_by_key(|(seq, _)| *seq);
+        let kind = |i: usize| outcomes[i].1.as_ref().unwrap_err().kind.as_str();
+        assert!(outcomes[0].1.is_ok() && outcomes[4].1.is_ok());
+        assert_eq!(kind(1), "unknown-compiler");
+        assert_eq!(kind(2), "invalid-target");
+        assert_eq!(kind(3), "unsupported-option");
         assert_eq!(service.stats().errors, 3);
     }
 
@@ -870,14 +770,5 @@ mod tests {
         ns.sort_unstable();
         assert_eq!(ns, seqs);
         assert_eq!(session.pending(), 0);
-    }
-
-    #[test]
-    fn submit_ticket_roundtrip() {
-        let service = CompileService::new();
-        let ticket = service.submit(CompileRequest::new("lnn", "lnn:9")).unwrap();
-        let resp = ticket.recv().unwrap();
-        assert_eq!(resp.result.n, 9);
-        assert!(!resp.cached);
     }
 }

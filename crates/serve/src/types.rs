@@ -124,7 +124,9 @@ pub struct ServeError {
     /// the client's own goodbye frame, `unavailable` for a routed request
     /// that found no live backend (see [`crate::router`]), `protocol`
     /// for a connection whose byte stream violated the wire framing (see
-    /// [`crate::proto`]), or `invalid-config` for a router membership
+    /// [`crate::proto`]), `response-too-large` for an answer whose frame
+    /// would exceed the wire's payload cap, or `invalid-config` for a
+    /// router membership
     /// operation that can never be correct (empty/duplicate backend
     /// lists, removing the last member).
     pub kind: String,
@@ -204,6 +206,20 @@ impl ServeError {
         ServeError {
             kind: "protocol".to_string(),
             error: diagnosis.to_string(),
+        }
+    }
+
+    /// A compiled answer whose `len`-byte frame payload exceeds the
+    /// wire's `max`-byte cap. The server sends this in the answer's place
+    /// and keeps the connection: the request was well-formed and every
+    /// backend would refuse it the same way.
+    pub fn response_too_large(len: u64, max: usize) -> Self {
+        ServeError {
+            kind: "response-too-large".to_string(),
+            error: format!(
+                "the response payload is {len} bytes, over the {max}-byte frame cap: \
+                 request a smaller target or a stronger approximation"
+            ),
         }
     }
 

@@ -18,7 +18,7 @@
 //! * [`baselines`] — SABRE, exact-optimal A* (SATMAP substitute), LNN path;
 //! * [`core`] — the paper's compilers and the pipeline API ([`Target`],
 //!   [`QftCompiler`], [`CompileOptions`] → [`CompileResult`]);
-//! * [`serve`] — the batched/concurrent compile service: JSON
+//! * [`serve`] — the concurrent compile service: JSON
 //!   [`CompileRequest`]/[`CompileResponse`] types, a [`CompileService`]
 //!   with a bounded worker pool and a keyed LRU result cache, the TCP
 //!   front end ([`NetServer`]/[`NetClient`]), a consistent-hash
@@ -72,7 +72,7 @@ pub use qft_ir::passes::{Pass, PassCtx, PassError, PassManager, PassReport};
 pub use qft_serve::{
     Backpressure, ClientConfig, CompileRequest, CompileResponse, CompileService, NetClient,
     NetServer, PoolClient, RetryPolicy, Routed, Router, RouterConfig, ServeError, ServeStats,
-    ServerConfig, StreamSession, Ticket,
+    ServerConfig, StreamSession,
 };
 
 /// The process-wide compiler registry: the paper's four analytical mappers

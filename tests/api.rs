@@ -1,6 +1,5 @@
-//! Pipeline-API integration tests: registry round-trips, equivalence of
-//! the new `CompileOptions` defaults with the legacy façade, and
-//! `CompileResult` serde round-trips.
+//! Pipeline-API integration tests: registry round-trips, descriptive
+//! errors, and `CompileResult` serde round-trips.
 
 use qft_kernels::{
     available_compilers, registry, CompileError, CompileOptions, CompileResult, Target,
@@ -52,55 +51,6 @@ fn registry_round_trip_every_compiler_compiles_and_verifies() {
         assert_eq!(r.metrics.cphases, r.n * (r.n - 1) / 2);
         assert_eq!(r.metrics.hadamards, r.n);
         assert!(r.metrics.depth > 0);
-    }
-}
-
-#[test]
-fn default_options_match_the_legacy_facade_exactly() {
-    // `CompileOptions::default()` must reproduce the old
-    // `Backend::compile_qft{,_with_metrics}` byte-for-byte: same op
-    // streams, same layouts, same weighted metrics.
-    #[allow(deprecated)]
-    let legacy: [(qft_kernels::core::Backend, Target, &str); 4] = [
-        (
-            qft_kernels::core::Backend::Lnn(9),
-            Target::lnn(9).unwrap(),
-            "lnn",
-        ),
-        (
-            qft_kernels::core::Backend::Sycamore(4),
-            Target::sycamore(4).unwrap(),
-            "sycamore",
-        ),
-        (
-            qft_kernels::core::Backend::HeavyHexGroups(3),
-            Target::heavy_hex_groups(3).unwrap(),
-            "heavyhex",
-        ),
-        (
-            qft_kernels::core::Backend::LatticeSurgery(4),
-            Target::lattice_surgery(4).unwrap(),
-            "lattice",
-        ),
-    ];
-    for (backend, target, name) in legacy {
-        #[allow(deprecated)]
-        let (old_mc, old_metrics) = backend.compile_qft_with_metrics();
-        let r = registry()
-            .compile(name, &target, &CompileOptions::default())
-            .unwrap();
-        assert_eq!(old_mc.ops(), r.circuit.ops(), "{name}: op stream diverged");
-        assert_eq!(
-            old_mc.initial_layout(),
-            r.circuit.initial_layout(),
-            "{name}: initial layout diverged"
-        );
-        assert_eq!(
-            old_mc.final_layout(),
-            r.circuit.final_layout(),
-            "{name}: final layout diverged"
-        );
-        assert_eq!(old_metrics, r.metrics, "{name}: metrics diverged");
     }
 }
 

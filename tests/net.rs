@@ -48,7 +48,7 @@ use qft_kernels::serve::proto::{self, Frame, WireFault, MAGIC, VERSION};
 use qft_kernels::serve::{shared_registry, ClientError, NetEvent, NetServer, ServerConfig};
 use qft_kernels::{
     Backpressure, ClientConfig, CompileOptions, CompileRequest, CompileService, NetClient,
-    QftCompiler, Registry, RetryPolicy, Target,
+    QftCompiler, Registry, RetryPolicy, Router, Target,
 };
 use std::io::Write;
 use std::net::TcpStream;
@@ -1031,4 +1031,136 @@ fn a_cached_hit_is_answered_when_the_queue_sheds() {
     drop(filler);
     drop(client);
     server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Hostile payloads and over-cap answers: refused per request, never a
+// crash or a dropped socket.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_20000_deep_request_is_a_protocol_error_not_a_crash() {
+    let server = NetServer::bind("127.0.0.1:0", Arc::new(CompileService::new())).unwrap();
+    let addr = server.local_addr();
+    let healthy_req = serve_request("lnn", "lnn:5", CompileOptions::default());
+
+    // A well-framed request whose payload is 20 000 nested '[': a
+    // recursive parser without a depth limit overflows the connection
+    // thread's stack and aborts the whole server process.
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let payload = "[".repeat(20_000);
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&MAGIC);
+    frame.push(VERSION);
+    frame.push(1); // request kind
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    (&stream).write_all(&frame).unwrap();
+    let fault: WireFault = proto::read_frame(&mut &stream)
+        .expect("a protocol error frame")
+        .decode()
+        .unwrap();
+    assert_eq!((fault.seq, fault.error.kind.as_str()), (None, "protocol"));
+    assert!(
+        fault.error.error.contains("limit of 128"),
+        "the refusal must name the depth limit: {}",
+        fault.error.error
+    );
+
+    // The same connection, and a new one, still compile.
+    proto::write_frame(&mut &stream, &Frame::request(1, &healthy_req)).unwrap();
+    let wire: proto::WireResponse = proto::read_frame(&mut &stream)
+        .expect("the healthy response")
+        .decode()
+        .unwrap();
+    assert_eq!((wire.seq, wire.response.result.n), (1, 5));
+    let mut client = NetClient::connect(addr).unwrap();
+    assert_eq!(client.request(&healthy_req).unwrap().result.n, 5);
+    drop((stream, client));
+    assert_eq!(server.shutdown().net.proto_errors, 1);
+}
+
+/// A compiler whose artifact carries a note just over the 16 MiB frame
+/// cap: the shape of a paper-scale kernel (`lnn:1024` is ~61 MB).
+struct OversizeCompiler;
+
+impl QftCompiler for OversizeCompiler {
+    fn name(&self) -> &'static str {
+        "oversize"
+    }
+    fn description(&self) -> &'static str {
+        "test compiler whose artifact is bigger than a wire frame"
+    }
+    fn compile(
+        &self,
+        target: &Target,
+        opts: &CompileOptions,
+    ) -> Result<qft_kernels::CompileResult, qft_kernels::CompileError> {
+        let mut result = shared_registry().resolve("lnn")?.compile(target, opts)?;
+        result.note = "x".repeat(proto::MAX_PAYLOAD + 1);
+        Ok(result)
+    }
+}
+
+fn oversize_server() -> NetServer {
+    static REGISTRY: std::sync::OnceLock<&'static Registry> = std::sync::OnceLock::new();
+    let registry = REGISTRY.get_or_init(|| {
+        let mut r = Registry::with_core();
+        r.register(Box::new(OversizeCompiler));
+        Box::leak(Box::new(r))
+    });
+    let service = CompileService::builder().registry(registry).build();
+    NetServer::bind("127.0.0.1:0", Arc::new(service)).unwrap()
+}
+
+fn assert_too_large(outcome: Result<impl std::fmt::Debug, ClientError>) {
+    match outcome {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.kind, "response-too-large");
+            assert!(
+                e.error
+                    .contains(&format!("{}-byte frame cap", proto::MAX_PAYLOAD)),
+                "the refusal must name the cap: {}",
+                e.error
+            );
+        }
+        other => panic!("expected a response-too-large error, got {other:?}"),
+    }
+}
+
+#[test]
+fn an_over_cap_response_is_an_error_frame_and_the_connection_survives() {
+    let huge = CompileRequest::new("oversize", "lnn:4");
+    let healthy_req = serve_request("lnn", "lnn:5", CompileOptions::default());
+
+    // Directly: the refusal names the cap, and the same connection goes
+    // on serving (a dropped socket would fail the second request).
+    let server = oversize_server();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    assert_too_large(client.request(&huge));
+    assert_too_large(client.request(&huge)); // now a cache hit
+    assert_eq!(client.request(&healthy_req).unwrap().result.n, 5);
+    assert_eq!(client.goodbye().unwrap().served, 3);
+
+    // Through a router: a request-shaped refusal passes through, so no
+    // backend is marked down and nothing fails over.
+    let fleet = [server, oversize_server()];
+    let router =
+        Router::new(fleet.iter().map(NetServer::local_addr).collect()).expect("two backends");
+    assert_too_large(router.request(&huge));
+    assert_eq!(router.request(&healthy_req).unwrap().response.result.n, 5);
+    for state in router.backend_states() {
+        assert!(state.healthy, "{state:?}");
+        assert_eq!((state.failovers, state.downs), (0, 0), "{state:?}");
+    }
+    for server in &fleet {
+        assert_eq!(server.net_stats().disconnects, 0);
+    }
+    drop(router);
+    for server in fleet {
+        server.shutdown();
+    }
 }

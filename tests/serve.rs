@@ -185,8 +185,14 @@ fn cache_hit_returns_bytes_identical_to_the_cold_miss() {
 fn batched_duplicates_are_deduplicated_across_the_pool() {
     let service = CompileService::new();
     let req = contended_request();
-    let batch: Vec<CompileRequest> = (0..12).map(|_| req.clone()).collect();
-    let responses = service.compile_batch(&batch);
+    let mut session = service.stream();
+    for _ in 0..12 {
+        session.submit(req.clone()).expect("stream submit");
+    }
+    let responses: Vec<_> = std::iter::from_fn(|| session.recv())
+        .map(|(_, resp)| resp)
+        .collect();
+    assert_eq!(responses.len(), 12);
     let reference = serde_json::to_string(&responses[0].as_ref().unwrap().result).unwrap();
     for resp in &responses {
         let resp = resp.as_ref().expect("batched compile");
@@ -208,7 +214,7 @@ fn batched_duplicates_are_deduplicated_across_the_pool() {
 fn streaming_submit_recv_serves_mixed_traffic() {
     let service = CompileService::builder().workers(2).build();
     let mut session = service.stream();
-    // Interleave distinct and duplicate requests, streamed not batched.
+    // Interleave distinct and duplicate requests.
     let mut seqs = Vec::new();
     for n in [6usize, 7, 6, 8, 7, 6] {
         let seq = session
@@ -292,20 +298,21 @@ fn full_bounded_queue_sheds_with_a_descriptive_error_not_a_hang() {
     assert_eq!(service.backpressure(), Backpressure::Shed);
 
     // Park the single worker inside the gated compile…
-    let ticket_a = service
+    let mut session = service.stream();
+    session
         .submit(CompileRequest::new("gate", "lnn:4"))
         .expect("first submission is admitted");
     while GATE_ENTERED.load(Ordering::SeqCst) == 0 {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     // …fill the queue behind it…
-    let ticket_b = service
+    session
         .submit(CompileRequest::new("gate", "lnn:5"))
         .expect("second submission fills the queue");
     assert_eq!(service.stats().queue_depth, 1);
 
     // …and the next submission must shed, descriptively.
-    let err = service
+    let err = session
         .submit(CompileRequest::new("gate", "lnn:6"))
         .expect_err("a full queue under Shed must reject");
     assert_eq!(err.kind, "overloaded");
@@ -322,8 +329,11 @@ fn full_bounded_queue_sheds_with_a_descriptive_error_not_a_hang() {
     // Release the gate: the admitted jobs drain normally.
     *GATE_OPEN.lock().unwrap() = true;
     GATE_CV.notify_all();
-    assert_eq!(ticket_a.recv().expect("gated compile A").result.n, 4);
-    assert_eq!(ticket_b.recv().expect("gated compile B").result.n, 5);
+    let mut drained: Vec<_> = std::iter::from_fn(|| session.recv())
+        .map(|(seq, resp)| (seq, resp.expect("gated compile").result.n))
+        .collect();
+    drained.sort_unstable();
+    assert_eq!(drained, vec![(0, 4), (1, 5)]);
     assert_eq!(service.stats().shed, 1, "draining never sheds");
 }
 
@@ -554,9 +564,9 @@ proptest! {
         let capacity = 6;
         let service = CompileService::builder()
             .cache_capacity(capacity)
-            .cache_shards(1)
             .workers(1)
             .build();
+        prop_assert_eq!(service.stats().cache_shards, 1);
         let req_for =
             |k: usize| serve_request("lnn", &format!("lnn:{}", 4 + k), CompileOptions::default());
         let total_ops: usize = per_thread.iter().map(Vec::len).sum();
